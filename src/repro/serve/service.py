@@ -60,6 +60,12 @@ class ServeConfig:
     #: score rows densified at once during incremental maintenance
     chunk_users: int = 64
 
+    def __post_init__(self) -> None:
+        if self.top_k < 1:
+            raise ValueError("top_k must be >= 1")
+        if self.cache_entries < 1:
+            raise ValueError("cache_entries must be >= 1")
+
 
 class RecommendationService:
     """Batched top-K queries + incremental updates over a trained model.
@@ -87,8 +93,6 @@ class RecommendationService:
         self.ckg = ckg
         self.scores = scores
         self.config = config or ServeConfig()
-        if self.config.top_k < 1:
-            raise ValueError("top_k must be >= 1")
         self._positives = {user: set(items)
                            for user, items in positives.items()}
         self._cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
@@ -182,25 +186,28 @@ class RecommendationService:
                 raise ValueError(
                     f"user(s) {sorted(set(bad))} out of range for "
                     f"{self.ckg.num_users} users")
-            hits = 0
+            rankings: Dict[int, np.ndarray] = {}
             misses = []
             for user in dict.fromkeys(user_list):
                 if user in self._cache:
                     self._cache.move_to_end(user)
-                    hits += 1
+                    rankings[user] = self._cache[user]
                 else:
                     misses.append(user)
-            if hits:
-                telemetry.counter("serve.cache_hits", hits)
+            if rankings:
+                telemetry.counter("serve.cache_hits", len(rankings))
             if misses:
                 telemetry.counter("serve.cache_misses", len(misses))
                 for user, ranking in zip(misses, self._score_batch(misses)):
+                    rankings[user] = ranking
                     self._cache[user] = ranking
                     self._cache.move_to_end(user)
+                # The response reads ``rankings``, so a request naming
+                # more users than the cache holds still gets them all.
                 while len(self._cache) > self.config.cache_entries:
                     self._cache.popitem(last=False)
             telemetry.gauge("serve.cache_entries", len(self._cache))
-            return [self._cache[user][:k].copy() for user in user_list]
+            return [rankings[user][:k].copy() for user in user_list]
 
     def _score_batch(self, users: List[int]) -> List[np.ndarray]:
         """One pruned-subgraph model pass ranking ``users``' items."""

@@ -1,27 +1,31 @@
 """Tests for the fused message-passing super-ops (``repro.autodiff.fused``).
 
-The fused kernels must be *bitwise* interchangeable with the unfused
-reference compositions on the KUCNet hot path (the golden-loss fixtures
-pin per-epoch losses exactly, and CI runs the suite under both
-``REPRO_FUSED`` settings), so parity here is asserted with the strict
-``check_gradients_match`` defaults (atol=0, rtol=1e-6) and, for the
-attention layer, exact equality.
+The fused kernels are the only production path; the op-by-op
+compositions they replace live in ``tests/reference_kernels.py`` as
+oracles.  On the KUCNet hot path the two must be *bitwise*
+interchangeable (the golden-loss fixtures pin per-epoch losses exactly),
+so parity here is asserted with ``check_gradients_match`` at
+``atol=rtol=0`` wherever the kernel replays the oracle's operation
+order.
 """
-
-import os
 
 import numpy as np
 import pytest
 
 from repro import telemetry as tm
 from repro.autodiff import (Tensor, check_gradients, check_gradients_match,
-                            force_fusion, fused_attention_messages,
                             fused_gather_mul_segment_sum, fused_rgcn_messages,
-                            fused_segment_softmax, fusion_enabled,
-                            gather_rows, segment_softmax, segment_sum)
-from repro.autodiff import fused as fused_mod
+                            fused_segment_softmax, segment_softmax)
 from repro.core.layers import AttentionMessagePassing
+from repro.graph import KnowledgeGraph
+from repro.linkpred import CompGCN
 from repro.sampling import LayerEdges
+
+from .reference_kernels import (reference_attention_layer,
+                                reference_compgcn_encode,
+                                reference_gather_mul_segment_sum,
+                                reference_rgcn_messages,
+                                reference_segment_softmax)
 
 
 def _layer_inputs(num_src=12, num_dst=9, num_edges=40, dim=6, seed=0):
@@ -43,36 +47,12 @@ def _make_layer(dim=6, use_attention=True, activation="relu", seed=3):
                                    rng=np.random.default_rng(seed))
 
 
-class TestFusionToggle:
-    def test_default_is_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FUSED", raising=False)
-        assert fusion_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "false", "off", "no", " OFF "])
-    def test_env_disables(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_FUSED", value)
-        assert not fusion_enabled()
-
-    @pytest.mark.parametrize("value", ["1", "true", "on", "yes", ""])
-    def test_env_keeps_enabled(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_FUSED", value)
-        assert fusion_enabled()
-
-    def test_force_fusion_overrides_env_and_restores(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSED", "0")
-        assert not fusion_enabled()
-        with force_fusion(True):
-            assert fusion_enabled()
-            with force_fusion(False):
-                assert not fusion_enabled()
-            assert fusion_enabled()
-        assert not fusion_enabled()
-
-    def test_force_fusion_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with force_fusion(False):
-                raise RuntimeError("boom")
-        assert fused_mod._FORCED is None
+def _run_layer(layer, hidden, edges, num_dst, reference=False, **kwargs):
+    """The production layer forward, or its op-by-op oracle."""
+    if reference:
+        return reference_attention_layer(layer, hidden, edges, num_dst,
+                                         **kwargs)
+    return layer(hidden, edges, num_dst, **kwargs)
 
 
 class TestAttentionLayerParity:
@@ -86,49 +66,46 @@ class TestAttentionLayerParity:
                             activation=activation)
         params = [hidden] + list(layer.parameters())
 
-        def run(fused):
+        def run(reference):
             def fn():
-                with force_fusion(fused):
-                    out, _ = layer(hidden, edges, num_dst)
+                out, _ = _run_layer(layer, hidden, edges, num_dst,
+                                    reference=reference)
                 return (out * out).sum()
             return fn
 
-        check_gradients_match(run(True), run(False), params,
+        check_gradients_match(run(False), run(True), params,
                               atol=0.0, rtol=0.0)
 
     def test_attention_values_match(self):
         hidden, edges, num_dst = _layer_inputs()
         layer = _make_layer()
-        with force_fusion(True):
-            _, fused_alpha = layer(hidden, edges, num_dst,
-                                   collect_attention=True)
-        with force_fusion(False):
-            _, ref_alpha = layer(hidden, edges, num_dst,
-                                 collect_attention=True)
+        _, fused_alpha = layer(hidden, edges, num_dst, collect_attention=True)
+        _, ref_alpha = reference_attention_layer(layer, hidden, edges,
+                                                 num_dst,
+                                                 collect_attention=True)
         assert np.array_equal(fused_alpha, ref_alpha)
 
     def test_attention_none_unless_collected(self):
         hidden, edges, num_dst = _layer_inputs()
         layer = _make_layer()
-        for fused in (True, False):
-            with force_fusion(fused):
-                _, alpha = layer(hidden, edges, num_dst)
+        for reference in (False, True):
+            _, alpha = _run_layer(layer, hidden, edges, num_dst,
+                                  reference=reference)
             assert alpha is None
 
     def test_no_attention_collects_ones(self):
         hidden, edges, num_dst = _layer_inputs()
         layer = _make_layer(use_attention=False)
-        with force_fusion(True):
-            _, alpha = layer(hidden, edges, num_dst, collect_attention=True)
+        _, alpha = layer(hidden, edges, num_dst, collect_attention=True)
         assert np.all(alpha == 1.0)
 
     def test_zero_edges(self):
         layer = _make_layer(dim=4)
         empty = LayerEdges(*(np.empty(0, dtype=np.int64) for _ in range(5)))
-        for fused in (True, False):
-            with force_fusion(fused):
-                out, alpha = layer(Tensor(np.zeros((2, 4))), empty, 3,
-                                   collect_attention=True)
+        for reference in (False, True):
+            out, alpha = _run_layer(layer, Tensor(np.zeros((2, 4))), empty,
+                                    3, reference=reference,
+                                    collect_attention=True)
             assert out.shape == (3, 4)
             assert np.all(out.data == 0.0)
             assert alpha.shape == (0,)
@@ -140,8 +117,7 @@ class TestAttentionLayerParity:
         params = [hidden] + list(layer.parameters())
 
         def fn():
-            with force_fusion(True):
-                out, _ = layer(hidden, edges, num_dst)
+            out, _ = layer(hidden, edges, num_dst)
             return (out.tanh() * out).sum()
 
         assert check_gradients(fn, params, atol=1e-5, rtol=1e-3)
@@ -149,8 +125,7 @@ class TestAttentionLayerParity:
     def test_fused_produces_single_graph_node(self):
         hidden, edges, num_dst = _layer_inputs()
         layer = _make_layer(activation="identity")
-        with force_fusion(True):
-            out, _ = layer(hidden, edges, num_dst)
+        out, _ = layer(hidden, edges, num_dst)
         # identity activation + no dropout: the layer output IS the
         # fused node, parented directly on inputs and parameters.
         assert hidden in out._parents
@@ -164,18 +139,20 @@ class TestFusedSegmentSoftmax:
         seg = np.sort(rng.integers(0, 4, size=14))   # segments 4,5 empty
         check_gradients_match(
             lambda: (fused_segment_softmax(x, seg, 6) * Tensor(np.arange(14.0))).sum(),
-            lambda: (_reference_segment_softmax(x, seg, 6) * Tensor(np.arange(14.0))).sum(),
+            lambda: (reference_segment_softmax(x, seg, 6) * Tensor(np.arange(14.0))).sum(),
             [x], atol=0.0, rtol=0.0)
 
     def test_dispatch_through_public_op(self):
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(10, 3)), requires_grad=True)
         seg = np.sort(rng.integers(0, 5, size=10))
-        with force_fusion(True):
-            fused = segment_softmax(x, seg, 5)
-        with force_fusion(False):
-            ref = segment_softmax(x, seg, 5)
-        assert np.array_equal(fused.data, ref.data)
+        weights = Tensor(rng.normal(size=(10, 3)))
+        check_gradients_match(
+            lambda: (segment_softmax(x, seg, 5) * weights).sum(),
+            lambda: (reference_segment_softmax(x, seg, 5) * weights).sum(),
+            [x], atol=0.0, rtol=0.0)
+        # the public op tapes one node, parented on the input alone
+        assert segment_softmax(x, seg, 5)._parents == (x,)
 
     def test_mass_sums_to_one_per_nonempty_segment(self):
         rng = np.random.default_rng(3)
@@ -187,16 +164,6 @@ class TestFusedSegmentSoftmax:
         for segment in range(8):
             if (seg == segment).any():
                 assert mass[segment] == pytest.approx(1.0)
-
-
-def _reference_segment_softmax(x, segment_ids, num_segments):
-    seg_max = np.full((num_segments,) + x.data.shape[1:], -np.inf,
-                      dtype=x.data.dtype)
-    np.maximum.at(seg_max, segment_ids, x.data)
-    shifted = x - Tensor(seg_max[segment_ids])
-    exp = shifted.exp()
-    denom = segment_sum(exp, segment_ids, num_segments)
-    return exp / gather_rows(denom, segment_ids)
 
 
 class TestFusedGatherMulSegmentSum:
@@ -214,7 +181,8 @@ class TestFusedGatherMulSegmentSum:
         src, dst, _, x, _, _, n = self._arrays()
         check_gradients_match(
             lambda: (fused_gather_mul_segment_sum(x, src, dst, n) ** 2.0).sum(),
-            lambda: (segment_sum(gather_rows(x, src), dst, n) ** 2.0).sum(),
+            lambda: (reference_gather_mul_segment_sum(x, src, dst, n)
+                     ** 2.0).sum(),
             [x], atol=0.0, rtol=0.0)
 
     def test_gathered_table_mode_bitwise(self):
@@ -222,9 +190,8 @@ class TestFusedGatherMulSegmentSum:
         check_gradients_match(
             lambda: (fused_gather_mul_segment_sum(
                 x, src, dst, n, y=table, y_indices=rels) ** 2.0).sum(),
-            lambda: (segment_sum(gather_rows(x, src)
-                                 * gather_rows(table, rels), dst, n)
-                     ** 2.0).sum(),
+            lambda: (reference_gather_mul_segment_sum(
+                x, src, dst, n, y=table, y_indices=rels) ** 2.0).sum(),
             [x, table], atol=0.0, rtol=0.0)
 
     def test_per_edge_operand_mode_bitwise(self):
@@ -232,8 +199,8 @@ class TestFusedGatherMulSegmentSum:
         check_gradients_match(
             lambda: (fused_gather_mul_segment_sum(
                 x, src, dst, n, y=per_edge) ** 2.0).sum(),
-            lambda: (segment_sum(gather_rows(x, src) * per_edge, dst, n)
-                     ** 2.0).sum(),
+            lambda: (reference_gather_mul_segment_sum(
+                x, src, dst, n, y=per_edge) ** 2.0).sum(),
             [x, per_edge], atol=0.0, rtol=0.0)
 
     def test_finite_difference(self):
@@ -257,23 +224,14 @@ class TestFusedRGCNMessages:
                  for _ in range(num_bases)]
         coeffs = Tensor(rng.normal(size=(5, num_bases)), requires_grad=True)
 
-        def reference():
-            source = gather_rows(hidden, heads)
-            coeff_rows = gather_rows(coeffs, rels)
-            messages = None
-            for index, basis in enumerate(bases):
-                col = gather_rows(
-                    coeff_rows.reshape(num_edges * num_bases, 1),
-                    np.arange(num_edges) * num_bases + index)
-                term = (source @ basis.T) * col
-                messages = term if messages is None else messages + term
-            return (segment_sum(messages, tails, num_nodes) ** 2.0).sum()
-
         check_gradients_match(
             lambda: (fused_rgcn_messages(hidden, heads, rels, tails,
                                          num_nodes, bases, coeffs)
                      ** 2.0).sum(),
-            reference, [hidden, coeffs] + bases, atol=0.0, rtol=1e-12)
+            lambda: (reference_rgcn_messages(hidden, heads, rels, tails,
+                                             num_nodes, bases, coeffs)
+                     ** 2.0).sum(),
+            [hidden, coeffs] + bases, atol=0.0, rtol=1e-12)
 
 
 class TestFusionTelemetry:
@@ -289,8 +247,7 @@ class TestFusionTelemetry:
         hidden, edges, num_dst = _layer_inputs()
         layer = _make_layer()
         with tm.enabled(True):
-            with force_fusion(True):
-                layer(hidden, edges, num_dst)
+            layer(hidden, edges, num_dst)
         registry = tm.get_registry()
         assert registry.counters["autodiff.fused_calls"].total == 1
         assert registry.counters["autodiff.fused_saved_bytes"].total > 0
@@ -300,41 +257,48 @@ class TestFusionTelemetry:
         hidden, edges, num_dst = _layer_inputs()
         layer = _make_layer()
         with tm.enabled(True):
-            with force_fusion(False):
-                layer(hidden, edges, num_dst)
+            reference_attention_layer(layer, hidden, edges, num_dst)
         assert "autodiff.fused_calls" not in tm.get_registry().counters
 
     def test_tape_bytes_shrink(self):
-        """The acceptance criterion: >= 40% tape_bytes drop when fused."""
+        """The fused layer tapes <= 60% of the oracle's peak bytes."""
         hidden, edges, num_dst = _layer_inputs(num_src=60, num_dst=40,
                                                num_edges=400, dim=8)
         layer = _make_layer(dim=8)
         peaks = {}
-        for fused in (True, False):
+        for reference in (False, True):
             tm.reset()
-            with tm.enabled(True), force_fusion(fused):
+            with tm.enabled(True):
                 layer.zero_grad()
                 hidden.zero_grad()
-                out, _ = layer(hidden, edges, num_dst)
+                out, _ = _run_layer(layer, hidden, edges, num_dst,
+                                    reference=reference)
                 (out * out).sum().backward()
-                peaks[fused] = tm.get_registry().histograms[
+                peaks[reference] = tm.get_registry().histograms[
                     "autodiff.tape_bytes"].maximum
-        assert peaks[True] <= 0.6 * peaks[False]
+        assert peaks[False] <= 0.6 * peaks[True]
 
 
-class TestSubprocessEnvGate:
-    def test_repro_fused_0_selects_reference(self):
-        """REPRO_FUSED=0 must reach the reference composition end to end."""
-        import subprocess
-        import sys
-        code = (
-            "from repro.autodiff import fusion_enabled;"
-            "assert not fusion_enabled()"
-        )
-        env = dict(os.environ, REPRO_FUSED="0",
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, ["src", os.environ.get("PYTHONPATH")])))
-        result = subprocess.run([sys.executable, "-c", code], env=env,
-                                cwd=os.path.dirname(os.path.dirname(
-                                    os.path.abspath(__file__))))
-        assert result.returncode == 0
+class TestCompGCNParity:
+    """CompGCN's production encode applies the bias-free entity
+    transform after the segment sum; the oracle applies it per edge.
+    Linearity makes them equal up to float reassociation."""
+
+    def test_encode_and_gradients_allclose(self):
+        rng = np.random.default_rng(6)
+        triplets = [(int(h), int(r), int(t)) for h, r, t in zip(
+            rng.integers(0, 20, size=60), rng.integers(0, 3, size=60),
+            rng.integers(0, 20, size=60))]
+        model = CompGCN(KnowledgeGraph(20, 3, triplets), dim=6,
+                        num_layers=2, rng=np.random.default_rng(7))
+        weights = Tensor(rng.normal(size=(20, 6)))
+
+        def loss(encode):
+            def fn():
+                entities, relations = encode()
+                return (entities * weights).sum() + (relations ** 2.0).sum()
+            return fn
+
+        assert check_gradients_match(
+            loss(model.encode), loss(lambda: reference_compgcn_encode(model)),
+            list(model.parameters()), atol=1e-12, rtol=1e-9)

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.autodiff import (Tensor, check_gradients, gather_rows,
-                            segment_max, segment_softmax, segment_sum,
-                            softmax, where)
+from repro.autodiff import (Tensor, check_gradients, check_gradients_match,
+                            gather_rows, segment_max, segment_softmax,
+                            segment_sum, softmax, where)
+
+from .reference_kernels import reference_segment_softmax
 
 
 finite_floats = st.floats(min_value=-3.0, max_value=3.0,
@@ -152,15 +154,18 @@ def test_where_grad(a, b, condition):
        hnp.arrays(np.int64, (6,), elements=st.integers(min_value=0, max_value=2)))
 def test_segment_softmax_grad_with_empty_segments(x, seg):
     # num_segments=5: at least two segments are empty; the op must stay
-    # finite there and its gradient must match finite differences on
-    # both the fused kernel and the reference composition.
-    from repro.autodiff import force_fusion
+    # finite there, its gradient must match finite differences on both
+    # the fused kernel and the reference composition, and the two must
+    # agree bit for bit.
     weights = Tensor(np.linspace(0.5, 2.0, 6))
-    for fused in (True, False):
+    tx = Tensor(x, requires_grad=True)
+    check_gradients_match(
+        lambda: (segment_softmax(tx, seg, 5) * weights).sum(),
+        lambda: (reference_segment_softmax(tx, seg, 5) * weights).sum(),
+        [tx], atol=0.0, rtol=0.0)
+    for op in (segment_softmax, reference_segment_softmax):
         tx = Tensor(x, requires_grad=True)
-        with force_fusion(fused):
-            out = segment_softmax(tx, seg, 5)
-            assert np.all(np.isfinite(out.data))
-            check_gradients(
-                lambda: (segment_softmax(tx, seg, 5) * weights).sum(),
-                [tx], atol=1e-4, rtol=1e-3)
+        out = op(tx, seg, 5)
+        assert np.all(np.isfinite(out.data))
+        check_gradients(lambda: (op(tx, seg, 5) * weights).sum(),
+                        [tx], atol=1e-4, rtol=1e-3)

@@ -122,6 +122,26 @@ class TestService:
         service.recommend([2])  # evicts user 0, the least recent
         assert service.cached_users() == {1, 2}
 
+    def test_request_larger_than_cache_matches_large_cache(self):
+        users = [3, 0, 2, 1, 0]
+        small = _stub_service(cache_entries=1)
+        large = _stub_service(cache_entries=64)
+        got = small.recommend(users)
+        want = large.recommend(users)
+        assert len(got) == len(want) == len(users)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        # the LRU still holds only the most recently scored user
+        assert small.cached_users() == {1}
+        # ...and a mixed hit/miss request over the bound also answers
+        for a, b in zip(small.recommend([1, 2, 3]), large.recommend([1, 2, 3])):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("field", ["cache_entries", "top_k"])
+    def test_config_bounds_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            ServeConfig(**{field: 0})
+
     def test_update_evicts_only_affected_component(self):
         service = _stub_service()
         service.recommend([0, 1, 2, 3])
@@ -241,6 +261,18 @@ class TestHTTP:
         _, after = _post(f"{url}/recommend", {"users": [0]})
         assert target not in after["results"]["0"]
         assert instance.service.interactions_added == 1
+
+    def test_more_users_than_cache_entries_is_200(self):
+        instance = RecommendationServer(_stub_service(cache_entries=1),
+                                        port=0, snapshot_interval=0.0)
+        port = instance.start()
+        try:
+            status, body = _post(f"http://127.0.0.1:{port}/recommend",
+                                 {"users": [0, 1, 2], "k": 1})
+        finally:
+            instance.stop()
+        assert status == 200
+        assert set(body["results"]) == {"0", "1", "2"}
 
     def test_malformed_requests_are_400_json(self, server):
         _, url = server
